@@ -2,259 +2,66 @@ package plan
 
 import (
 	"fmt"
-	"math"
 
 	"orbit/internal/cluster"
 	"orbit/internal/core"
+	"orbit/internal/pp"
 )
 
-// This file is the step-time predictor: a deterministic replay of the
-// exact collective schedule core.Engine executes, priced with the
-// identical cost semantics internal/comm charges to the simulated
-// device clocks — per-group α–β ring costs over the group's link
-// class, rendezvous at the latest poster's clock, serialization of
-// in-flight collectives on each group's single communication stream,
-// and wait-time attribution only for the gap local compute did not
-// already cover. No data moves; only clocks.
+// This file is the step-time predictor: it compiles the exact
+// collective schedule the engines execute into per-rank programs and
+// prices them on the replay machine (replay.go). The 3D predictor is
+// the PP=1 case of the 4D one. Each rank's program is generated by
+// walking its stage's 1F1B schedule slots exactly as pp.Engine.RunStep
+// does — activation receives block at consumption, sends post
+// asynchronously and drain at the end of the step, and a stale-cache
+// backward re-runs the stage forward for real before charging the
+// cheaper (2×) backward — so pipeline bubbles fall out of the replay
+// rather than an analytic S·(M+S−1) formula: a stage idling in warmup
+// simply accrues wait time on the first transfer it consumes, and that
+// is what Prediction.PPWait reports. At PP=1 the schedule is
+// forward/backward per micro-batch, which is core.Engine's step.
 
-// simPending mirrors comm.pending for one in-flight collective.
-type simPending struct {
-	cost, tmax, completion float64
-	posted, waited         int
-	done                   bool
-}
-
-// simGroup mirrors comm.Group: a communicator with one serialized
-// stream and link parameters chosen by whether its members share a
-// node (Infinity Fabric) or span nodes (Slingshot).
-type simGroup struct {
-	size       int
-	lat, bw    float64
-	streamFree float64
-	pend       map[int]*simPending
-}
-
-func newSimGroup(members []int, gpn int, spec cluster.Spec) *simGroup {
-	g := &simGroup{
-		size: len(members),
-		lat:  spec.InterNodeLatency,
-		bw:   spec.InterNodeBandwidth,
-		pend: make(map[int]*simPending),
-	}
-	sameNode := true
-	for _, r := range members[1:] {
-		if r/gpn != members[0]/gpn {
-			sameNode = false
-			break
-		}
-	}
-	if sameNode {
-		g.lat = spec.IntraNodeLatency
-		g.bw = spec.IntraNodeBandwidth
-	}
-	return g
-}
-
-// ring mirrors comm.Group.ringCost.
-func (g *simGroup) ring(bytes int) float64 {
-	if g.size == 1 {
-		return 0
-	}
-	p := float64(g.size)
-	return (p - 1) * (g.lat + float64(bytes)/p/g.bw)
-}
-
-func (g *simGroup) allGatherCost(shardLen int) float64 { return g.ring(4 * shardLen * g.size) }
-func (g *simGroup) allReduceCost(n int) float64        { return 2 * g.ring(4*n) }
-func (g *simGroup) reduceScatterCost(n int) float64    { return g.ring(4 * n) }
-
-// p2pCost mirrors comm.Group.p2pCost: the store-and-forward price of
-// one point-to-point message over the group's link class.
-func (g *simGroup) p2pCost(n int) float64 { return g.lat + float64(4*n)/g.bw }
-
-// Wait-phase attribution labels.
-const (
-	phGather = iota
-	phTP
-	phRS
-	phDDP
-	phPP
-	phCount
-)
-
-// instr opcodes.
-const (
-	opPost = iota
-	opWait
-	opCompute
-	opAlloc
-	opFree
-)
-
-type instr struct {
-	op, phase uint8
-	g         *simGroup
-	seq       int
-	cost      float64 // collective cost (post) or seconds (compute)
-	bytes     int64   // alloc/free
-}
-
-// progBuilder accumulates one rank's program; posting sequence
-// numbers per group continue across steps, exactly like comm.Group's
-// per-rank counters.
-type progBuilder struct {
-	instrs []instr
-	seq    map[*simGroup]int
-}
-
-func (b *progBuilder) post(g *simGroup, cost float64) int {
-	s := b.seq[g]
-	b.seq[g] = s + 1
-	b.instrs = append(b.instrs, instr{op: opPost, g: g, seq: s, cost: cost})
-	return s
-}
-
-func (b *progBuilder) wait(g *simGroup, seq int, phase uint8) {
-	b.instrs = append(b.instrs, instr{op: opWait, g: g, seq: seq, phase: phase})
-}
-
-// sync is a post immediately followed by its wait (the synchronous
-// destination-passing collectives the TP block uses).
-func (b *progBuilder) sync(g *simGroup, cost float64, phase uint8) {
-	b.wait(g, b.post(g, cost), phase)
-}
-
-func (b *progBuilder) compute(sec float64) {
-	b.instrs = append(b.instrs, instr{op: opCompute, cost: sec})
-}
-
-func (b *progBuilder) alloc(bytes int64) {
-	b.instrs = append(b.instrs, instr{op: opAlloc, bytes: bytes})
-}
-
-func (b *progBuilder) free(bytes int64) {
-	b.instrs = append(b.instrs, instr{op: opFree, bytes: bytes})
-}
-
-func (b *progBuilder) take() []instr {
-	out := b.instrs
-	b.instrs = nil
-	return out
-}
-
-// simDev mirrors cluster.Device's clock and memory accounting.
-type simDev struct {
-	clock     float64
-	mem, peak int64
-	capacity  int64
-	oom       bool
-	compute   float64
-	waits     [phCount]float64
-}
-
-// runPrograms executes one SPMD round of per-rank instruction lists
-// against the shared groups, advancing clocks with comm's rendezvous
-// and stream rules. Ranks advance until they block on a wait whose
-// collective has not fully posted; the round-robin repeats until all
-// programs retire.
-func runPrograms(progs [][]instr, devs []*simDev) error {
-	ptr := make([]int, len(progs))
-	for {
-		progress := false
-		for r := range progs {
-			d := devs[r]
-			for ptr[r] < len(progs[r]) {
-				in := &progs[r][ptr[r]]
-				if in.op == opWait {
-					p := in.g.pend[in.seq]
-					if p == nil || !p.done {
-						break // rendezvous incomplete; try other ranks
-					}
-					if p.completion > d.clock {
-						d.waits[in.phase] += p.completion - d.clock
-						d.clock = p.completion
-					}
-					p.waited++
-					if p.waited == in.g.size {
-						delete(in.g.pend, in.seq)
-					}
-				} else {
-					switch in.op {
-					case opPost:
-						g := in.g
-						p := g.pend[in.seq]
-						if p == nil {
-							p = &simPending{cost: in.cost}
-							g.pend[in.seq] = p
-						} else if p.cost != in.cost {
-							return fmt.Errorf("plan: replay ordering violation: cost %v posted against %v at seq %d",
-								in.cost, p.cost, in.seq)
-						}
-						if d.clock > p.tmax {
-							p.tmax = d.clock
-						}
-						p.posted++
-						if p.posted == g.size {
-							start := p.tmax
-							if g.streamFree > start {
-								start = g.streamFree
-							}
-							p.completion = start + p.cost
-							g.streamFree = p.completion
-							p.done = true
-						}
-					case opCompute:
-						d.clock += in.cost
-						d.compute += in.cost
-					case opAlloc:
-						d.mem += in.bytes
-						if d.mem > d.peak {
-							d.peak = d.mem
-						}
-						if d.mem > d.capacity {
-							d.oom = true
-						}
-					case opFree:
-						d.mem -= in.bytes
-					}
-				}
-				ptr[r]++
-				progress = true
-			}
-		}
-		if !progress {
-			break
-		}
-	}
-	for r := range progs {
-		if ptr[r] != len(progs[r]) {
-			return fmt.Errorf("plan: replay deadlock: rank %d stuck at instruction %d/%d", r, ptr[r], len(progs[r]))
-		}
-	}
-	return nil
-}
-
-// rankCtx is everything one rank's program generation needs.
+// rankCtx is everything one rank's program compilation needs. One
+// context is reused across the ranks of a candidate; the scratch
+// slices are sized for the largest stage.
 type rankCtx struct {
-	coord             core.Coord
-	tpG, fsdpG, ddpG  *simGroup
-	builder           *progBuilder
-	bufLive           []bool
-	gatherSeq, rsSeq  []int
-	chunkLen, flatLen int
-	gatherBytes       int64
-	actBytes          int64
-	fwdSec, bwdSec    float64
+	b                            progBuilder
+	opts                         core.Options
+	depth                        int // in-flight gather depth
+	qkNorm                       bool
+	tpG, fsdpG, ddpG             *simGroup
+	fwdIn, fwdOut, bwdIn, bwdOut *simGroup // pipeline links; nil where the topology has none
+	L                            int       // blocks in the rank's stage
+	bufLive                      []bool
+	gatherSeq, rsSeq             []int32
+	sends                        []sendRef
+	ddpCosts                     []float64 // one DDP all-reduce per bucket
+	gatherBytes, actBytes        int64
+	gatherCost, rsCost           float64
+	arCost, qkCost               float64
+	fwdSec                       float64
+	// bwdFresh is the backward charge when the forward cache is fresh;
+	// bwdRecomputed the 2× charge after the schedule performed a real
+	// recompute forward.
+	bwdFresh, bwdRecomputed float64
+}
+
+// sendRef is an asynchronous pipeline send awaiting its end-of-step
+// drain.
+type sendRef struct {
+	g   *simGroup
+	seq int32
 }
 
 func (rc *rankCtx) postGather(b int) {
-	rc.builder.alloc(rc.gatherBytes)
-	rc.gatherSeq[b] = rc.builder.post(rc.fsdpG, rc.fsdpG.allGatherCost(rc.chunkLen))
+	rc.b.alloc(rc.gatherBytes)
+	rc.gatherSeq[b] = rc.b.post(rc.fsdpG, rc.gatherCost)
 	rc.bufLive[b] = true
 }
 
 func (rc *rankCtx) release(b int) {
-	rc.builder.free(rc.gatherBytes)
+	rc.b.free(rc.gatherBytes)
 	rc.bufLive[b] = false
 }
 
@@ -269,14 +76,13 @@ func prefetchDepth(opts core.Options) int {
 	return 1
 }
 
-// stageForward emits one Engine.Forward pass over the rank's L-block
-// stack slice, mirroring core.Engine instruction for instruction. The
-// 3D predictor calls it with the whole stack; the 4D predictor with
-// one pipeline stage's slice (also as the real recompute the 1F1B
-// schedule performs on stale-cache backwards).
-func stageForward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCost float64) {
-	bld := rc.builder
-	if !opts.LayerWrapping {
+// stageForward emits one Engine.Forward pass over the rank's stage
+// blocks, mirroring core.Engine instruction for instruction (also as
+// the real recompute the 1F1B schedule performs on stale-cache
+// backwards).
+func stageForward(rc *rankCtx) {
+	bld, L := &rc.b, rc.L
+	if !rc.opts.LayerWrapping {
 		for b := 0; b < L; b++ {
 			rc.postGather(b)
 		}
@@ -285,24 +91,24 @@ func stageForward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCo
 		}
 	}
 	for b := 0; b < L; b++ {
-		if opts.LayerWrapping {
+		if rc.opts.LayerWrapping {
 			if !rc.bufLive[b] {
 				rc.postGather(b)
 			}
-			for k := 1; k <= depth && b+k < L; k++ {
+			for k := 1; k <= rc.depth && b+k < L; k++ {
 				if !rc.bufLive[b+k] {
 					rc.postGather(b + k)
 				}
 			}
 			bld.wait(rc.fsdpG, rc.gatherSeq[b], phGather)
 		}
-		if !opts.ActivationCheckpoint {
+		if !rc.opts.ActivationCheckpoint {
 			bld.alloc(rc.actBytes)
 		}
 		bld.compute(rc.fwdSec)
-		bld.sync(rc.tpG, arCost, phTP) // attention partial sum
-		bld.sync(rc.tpG, arCost, phTP) // MLP partial sum
-		if opts.LayerWrapping {
+		bld.sync(rc.tpG, rc.arCost, phTP) // attention partial sum
+		bld.sync(rc.tpG, rc.arCost, phTP) // MLP partial sum
+		if rc.opts.LayerWrapping {
 			rc.release(b)
 		}
 	}
@@ -310,70 +116,92 @@ func stageForward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCo
 
 // stageBackward emits one Engine.Backward pass (per-block compute at
 // bwdSec, TP reductions, the reduce-scatter drain, and the per-call
-// outer DDP reduction) over the rank's L-block stack slice.
-func stageBackward(rc *rankCtx, w Workload, opts core.Options, L, depth int, arCost, qkCost, bwdSec float64) {
-	bld := rc.builder
+// outer DDP reduction) over the rank's stage blocks.
+func stageBackward(rc *rankCtx, bwdSec float64) {
+	bld, L := &rc.b, rc.L
 	for b := L - 1; b >= 0; b-- {
-		if opts.LayerWrapping {
+		if rc.opts.LayerWrapping {
 			if !rc.bufLive[b] {
 				rc.postGather(b)
 			}
-			for k := 1; k <= depth && b-k >= 0; k++ {
+			for k := 1; k <= rc.depth && b-k >= 0; k++ {
 				if !rc.bufLive[b-k] {
 					rc.postGather(b - k)
 				}
 			}
 			bld.wait(rc.fsdpG, rc.gatherSeq[b], phGather)
 		}
-		if !opts.ActivationCheckpoint {
+		if !rc.opts.ActivationCheckpoint {
 			bld.free(rc.actBytes)
 		}
 		bld.compute(bwdSec)
-		bld.sync(rc.tpG, arCost, phTP) // MLP input-gradient sum
-		if w.QKNorm && rc.tpG.size > 1 {
-			bld.sync(rc.tpG, qkCost, phTP) // packed QK-norm grads
+		bld.sync(rc.tpG, rc.arCost, phTP) // MLP input-gradient sum
+		if rc.qkNorm && rc.tpG.size > 1 {
+			bld.sync(rc.tpG, rc.qkCost, phTP) // packed QK-norm grads
 		}
-		bld.sync(rc.tpG, arCost, phTP) // attention input-gradient sum
-		rc.rsSeq[b] = bld.post(rc.fsdpG, rc.fsdpG.reduceScatterCost(rc.flatLen))
+		bld.sync(rc.tpG, rc.arCost, phTP) // attention input-gradient sum
+		rc.rsSeq[b] = bld.post(rc.fsdpG, rc.rsCost)
 		rc.release(b)
 	}
 	for b := 0; b < L; b++ {
 		bld.wait(rc.fsdpG, rc.rsSeq[b], phRS)
 	}
-	// --- outer DDP gradient reduction ---
+	// Outer DDP gradient reduction: the bucket posts are consecutive
+	// on the DDP group, so their sequence numbers are too.
 	if rc.ddpG.size > 1 {
-		lens := make([]int, L)
-		for i := range lens {
-			lens[i] = rc.chunkLen
-		}
-		if opts.DDPBucketBytes > 0 {
-			var bucketLens []int
-			for _, r := range core.BucketRanges(lens, opts.DDPBucketBytes) {
-				bucketLens = append(bucketLens, (r[1]-r[0])*rc.chunkLen)
+		var first int32
+		for i, c := range rc.ddpCosts {
+			if s := bld.post(rc.ddpG, c); i == 0 {
+				first = s
 			}
-			lens = bucketLens
 		}
-		seqs := make([]int, len(lens))
-		for i, n := range lens {
-			seqs[i] = bld.post(rc.ddpG, rc.ddpG.allReduceCost(n))
-		}
-		for _, s := range seqs {
-			bld.wait(rc.ddpG, s, phDDP)
+		for i := range rc.ddpCosts {
+			bld.wait(rc.ddpG, first+int32(i), phDDP)
 		}
 	}
 }
 
-// buildStep emits one optimizer step (micros micro-batches of
-// forward+backward) for the rank, mirroring core.Engine and
-// train.RunElastic's per-rank step, instruction for instruction.
-func buildStep(rc *rankCtx, w Workload, opts core.Options, micros int) {
-	L := w.Layers
-	depth := prefetchDepth(opts)
-	arCost := rc.tpG.allReduceCost(w.Tokens * w.Dim)
-	qkCost := rc.tpG.allReduceCost(4 * (w.Dim / w.Heads))
-	for mu := 0; mu < micros; mu++ {
-		stageForward(rc, w, opts, L, depth, arCost)
-		stageBackward(rc, w, opts, L, depth, arCost, qkCost, rc.bwdSec)
+// compileStep emits one rank's optimizer step: its stage's schedule
+// slots, mirroring pp.Engine.RunStep instruction for instruction.
+// actFloats is the float32 count of one cross-stage message (the
+// micro-batch activation shape).
+func compileStep(rc *rankCtx, sched []pp.Op, actFloats int) {
+	bld := &rc.b
+	lastFwd := -1
+	rc.sends = rc.sends[:0]
+	for _, op := range sched {
+		switch op.Kind {
+		case pp.Fwd:
+			if rc.fwdIn != nil {
+				bld.sync(rc.fwdIn, rc.fwdIn.p2pCost(actFloats), phPP)
+			}
+			stageForward(rc)
+			lastFwd = op.Micro
+			if rc.fwdOut != nil {
+				rc.sends = append(rc.sends, sendRef{rc.fwdOut, bld.post(rc.fwdOut, rc.fwdOut.p2pCost(actFloats))})
+			}
+		case pp.Bwd:
+			bwdSec := rc.bwdFresh
+			if lastFwd != op.Micro {
+				// Later micro-batches clobbered the stage's caches: the
+				// engine re-runs the forward for real (gathers, TP
+				// reductions, compute all charged), then pays the 2×
+				// backward.
+				stageForward(rc)
+				lastFwd = op.Micro
+				bwdSec = rc.bwdRecomputed
+			}
+			if rc.bwdIn != nil {
+				bld.sync(rc.bwdIn, rc.bwdIn.p2pCost(actFloats), phPP)
+			}
+			stageBackward(rc, bwdSec)
+			if rc.bwdOut != nil {
+				rc.sends = append(rc.sends, sendRef{rc.bwdOut, bld.post(rc.bwdOut, rc.bwdOut.p2pCost(actFloats))})
+			}
+		}
+	}
+	for _, s := range rc.sends {
+		bld.wait(s.g, s.seq, phPP)
 	}
 }
 
@@ -384,155 +212,222 @@ func buildStep(rc *rankCtx, w Workload, opts core.Options, micros int) {
 // models. The returned prediction is self-contained and
 // JSON-serializable — Plan.Explain renders it.
 func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
-	if err := w.Validate(); err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+	l := cand.Layout
+	return predict(w, c, pp.Layout{TP: l.TP, PP: 1, FSDP: l.FSDP, DDP: l.DDP}, cand.Options(w.Opts))
+}
+
+// Predict4 prices one 4D candidate. PP=1 is exactly the 3D
+// prediction — the unused axis changes nothing, matching the engine
+// conformance guarantee.
+func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
+	if cand.Layout.PP <= 1 {
+		return Predict(w, c, Candidate{Layout: cand.Layout.Inner(), Knobs: cand.Knobs})
 	}
-	layout := cand.Layout
+	return predict(w, c, cand.Layout, cand.Options(w.Opts))
+}
+
+// predict compiles every rank's step program for the layout under
+// opts, once, and replays it (see replay). PP=1 is the 3D case.
+func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Prediction {
+	if err := w.Validate(); err != nil {
+		return infeasible(err.Error())
+	}
+	S := layout.PP
+	if S > w.Layers {
+		return infeasible(fmt.Sprintf("PP=%d stages exceed %d layers", S, w.Layers))
+	}
+	if S > 1 && (!opts.LayerWrapping || !opts.ActivationCheckpoint) {
+		return infeasible("PP>1 requires LayerWrapping and ActivationCheckpoint")
+	}
 	R := layout.Ranks()
 	if R > c.Devices() {
-		return Prediction{
-			Note:     fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices()),
-			OOM:      true,
-			StepTime: math.Inf(1),
-		}
+		return infeasible(fmt.Sprintf("layout needs %d devices, cluster has %d", R, c.Devices()))
 	}
-	gpn := c.GPUsPerNode
+	inner := layout.Inner()
+	micros, err := microBatches(w, inner)
+	if err != nil {
+		return infeasible(err.Error())
+	}
+	stages, err := pp.UniformPartition(w.Layers, S)
+	if err != nil {
+		return infeasible(err.Error())
+	}
+	scheds, err := pp.ScheduleFor(pp.Schedule1F1B, S, 1, micros)
+	if err != nil {
+		return infeasible(err.Error())
+	}
 	spec := c.Spec
+	grid := newSimGrid(layout, c.GPUsPerNode, spec)
+	innerN := inner.Ranks()
 
-	// Communicator grid, exactly as core.BuildGroups lays it out.
-	tpGroups := make(map[[2]int]*simGroup)
-	fsdpGroups := make(map[[2]int]*simGroup)
-	ddpGroups := make(map[[2]int]*simGroup)
-	members := func(n int, rankOf func(i int) int) []int {
-		ms := make([]int, n)
-		for i := range ms {
-			ms[i] = rankOf(i)
-		}
-		return ms
-	}
-	for d := 0; d < layout.DDP; d++ {
-		for f := 0; f < layout.FSDP; f++ {
-			tpGroups[[2]int{d, f}] = newSimGroup(members(layout.TP, func(t int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
-		}
-		for t := 0; t < layout.TP; t++ {
-			fsdpGroups[[2]int{d, t}] = newSimGroup(members(layout.FSDP, func(f int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
-		}
-	}
-	for f := 0; f < layout.FSDP; f++ {
-		for t := 0; t < layout.TP; t++ {
-			ddpGroups[[2]int{f, t}] = newSimGroup(members(layout.DDP, func(d int) int {
-				return layout.RankOf(core.Coord{T: t, F: f, D: d})
-			}), gpn, spec)
-		}
-	}
-
-	opts := cand.Options(w.Opts)
 	rate := spec.PeakFLOPS * spec.Efficiency
 	fwdFLOPs := core.BlockFLOPs(w.Tokens, w.Dim, layout.TP)
+	fwdSec := float64(fwdFLOPs) / rate
+	// At PP=1 the backward is charged as one FLOP count, as core.Engine
+	// charges it; the pipelined replay charges three forward charges.
+	// The two round differently, and the replay golden pins both.
 	bwdMult := int64(2)
 	if opts.ActivationCheckpoint {
 		bwdMult = 3
 	}
-
-	devs := make([]*simDev, R)
-	rcs := make([]*rankCtx, R)
+	bwdFresh := float64(bwdMult*fwdFLOPs) / rate
+	if S > 1 {
+		bwdFresh = 3 * fwdSec
+	}
+	maxStage := 0
+	for _, st := range stages {
+		maxStage = max(maxStage, st[1]-st[0])
+	}
+	rc := rankCtx{
+		opts:          opts,
+		depth:         prefetchDepth(opts),
+		qkNorm:        w.QKNorm,
+		bufLive:       make([]bool, maxStage),
+		gatherSeq:     make([]int32, maxStage),
+		rsSeq:         make([]int32, maxStage),
+		actBytes:      actBytesFor(w.Dim, w.Heads, layout.TP),
+		fwdSec:        fwdSec,
+		bwdFresh:      bwdFresh,
+		bwdRecomputed: 2 * fwdSec,
+	}
+	actFloats := w.Tokens * w.Dim
+	devs := make([]simDev, R)
+	progs := make([][]instr, R)
+	// Ranks compile to programs of (nearly always) the previous rank's
+	// length, so each program is allocated once at that size.
+	size := 0
 	for r := 0; r < R; r++ {
-		coord := layout.CoordOf(r)
-		numel := blockShardNumel(w.Dim, w.Heads, layout.TP, coord.T, w.QKNorm)
+		p, r3 := r/innerN, r%innerN
+		c3 := inner.CoordOf(r3)
+		L := stages[p][1] - stages[p][0]
+		numel := blockShardNumel(w.Dim, w.Heads, layout.TP, c3.T, w.QKNorm)
 		flat := flatLenFor(numel, layout.FSDP)
-		rc := &rankCtx{
-			coord:       coord,
-			tpG:         tpGroups[[2]int{coord.D, coord.F}],
-			fsdpG:       fsdpGroups[[2]int{coord.D, coord.T}],
-			ddpG:        ddpGroups[[2]int{coord.F, coord.T}],
-			builder:     &progBuilder{seq: make(map[*simGroup]int)},
-			bufLive:     make([]bool, w.Layers),
-			gatherSeq:   make([]int, w.Layers),
-			rsSeq:       make([]int, w.Layers),
-			chunkLen:    flat / layout.FSDP,
-			flatLen:     flat,
-			gatherBytes: int64(flat) * paramBytesFor(opts.MixedPrecision),
-			actBytes:    actBytesFor(w.Dim, w.Heads, layout.TP),
-			fwdSec:      float64(fwdFLOPs) / rate,
-			bwdSec:      float64(bwdMult*fwdFLOPs) / rate,
+		chunkLen := flat / layout.FSDP
+		rc.L = L
+		rc.tpG, rc.fsdpG, rc.ddpG = grid.tp(p, c3.D, c3.F), grid.fsdp(p, c3.D, c3.T), grid.ddp(p, c3.F, c3.T)
+		rc.fwdIn, rc.bwdOut, rc.fwdOut, rc.bwdIn = nil, nil, nil, nil
+		if p > 0 {
+			rc.fwdIn, rc.bwdOut = grid.link(p-1, r3, 0), grid.link(p-1, r3, 1)
 		}
-		rcs[r] = rc
-		devs[r] = &simDev{capacity: spec.MemPerGPU}
-		// NewEngine's persistent allocation: fp32 chunk weights+grads.
-		devs[r].mem = int64(w.Layers) * int64(rc.chunkLen) * 8
-		devs[r].peak = devs[r].mem
-	}
+		if p+1 < S {
+			rc.fwdOut, rc.bwdIn = grid.link(p, r3, 0), grid.link(p, r3, 1)
+		}
+		rc.gatherBytes = int64(flat) * paramBytesFor(opts.MixedPrecision)
+		rc.gatherCost = rc.fsdpG.allGatherCost(chunkLen)
+		rc.rsCost = rc.fsdpG.reduceScatterCost(flat)
+		rc.arCost = rc.tpG.allReduceCost(w.Tokens * w.Dim)
+		rc.qkCost = rc.tpG.allReduceCost(4 * (w.Dim / w.Heads))
+		rc.ddpCosts = rc.ddpCosts[:0]
+		if rc.ddpG.size > 1 {
+			rc.ddpCosts = ddpBucketCosts(rc.ddpCosts, rc.ddpG, L, chunkLen, opts.DDPBucketBytes)
+		}
 
-	micros, err := microBatches(w, layout)
-	if err != nil {
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
-	}
-	maxClock := func() float64 {
-		m := 0.0
-		for _, d := range devs {
-			if d.clock > m {
-				m = d.clock
+		rc.b.instrs = make([]instr, 0, size)
+		rc.b.posts = rc.b.posts[:0]
+		compileStep(&rc, scheds[p], actFloats)
+		progs[r] = rc.b.instrs
+		size = len(progs[r])
+		for _, gp := range rc.b.posts {
+			g := &grid.groups[gp.g]
+			if g.perStep == 0 {
+				g.perStep = gp.n
+			} else if g.perStep != gp.n {
+				return infeasible(fmt.Sprintf("plan: replay ordering violation: rank %d posts %d collectives per step on a group whose lowest rank posts %d",
+					r, gp.n, g.perStep))
 			}
 		}
-		return m
+		// NewEngine's persistent allocation: fp32 chunk weights+grads
+		// for the stage's blocks.
+		mem := int64(L) * int64(chunkLen) * 8
+		devs[r] = simDev{capacity: spec.MemPerGPU, mem: mem, peak: mem}
 	}
-	runStep := func() error {
-		progs := make([][]instr, R)
-		for r, rc := range rcs {
-			buildStep(rc, w, opts, micros)
-			progs[r] = rc.builder.take()
-		}
-		return runPrograms(progs, devs)
+	for i := range grid.groups {
+		g := &grid.groups[i]
+		g.pend = make([]simPending, g.perStep)
 	}
 
-	const measured = 2
-	if err := runStep(); err != nil { // warm-up
-		return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
+	pred, err := replay(progs, devs, grid.groups)
+	if err != nil {
+		return infeasible(err.Error())
 	}
-	warm := maxClock()
-	var warmDevs []simDev
-	for _, d := range devs {
-		warmDevs = append(warmDevs, *d)
-	}
-	for i := 0; i < measured; i++ {
-		if err := runStep(); err != nil {
-			return Prediction{Note: err.Error(), OOM: true, StepTime: math.Inf(1)}
-		}
-	}
-	stepTime := (maxClock() - warm) / measured
-
-	// Breakdown from the critical (latest-clock) rank's steady-state
-	// deltas.
-	crit := 0
-	for r, d := range devs {
-		if d.clock > devs[crit].clock {
-			crit = r
-		}
-	}
-	cd, wd := devs[crit], warmDevs[crit]
-	pred := Prediction{
-		StepTime:    stepTime,
-		ComputeTime: (cd.compute - wd.compute) / measured,
-		GatherWait:  (cd.waits[phGather] - wd.waits[phGather]) / measured,
-		TPWait:      (cd.waits[phTP] - wd.waits[phTP]) / measured,
-		RSWait:      (cd.waits[phRS] - wd.waits[phRS]) / measured,
-		DDPWait:     (cd.waits[phDDP] - wd.waits[phDDP]) / measured,
-	}
-	for _, d := range devs {
-		if d.peak > pred.DeviceBytes {
-			pred.DeviceBytes = d.peak
-		}
-		if d.oom {
-			pred.OOM = true
-		}
-	}
-	pred.Memory = analyticMemory(w, layout, opts)
-	if pred.OOM {
-		pred.Note = "predicted device memory exceeds capacity"
-	}
+	// Analytic breakdown for the heaviest stage (the largest block
+	// count; per-block chunk sizes are stage-independent).
+	w.Layers = maxStage
+	pred.Memory = analyticMemory(w, inner, opts)
 	return pred
+}
+
+// simGrid is a candidate's communicator table: per stage, the TP, FSDP
+// and DDP groups over the stage's contiguous device window, exactly as
+// core.BuildGroups and pp.Build lay them out; then one two-rank link
+// per (adjacent-stage pair, inner rank, direction), as pp.Build wires
+// them (no wrap link without interleaving). A group's id is its index.
+type simGrid struct {
+	groups                  []simGroup
+	T, F, D, innerN, stride int // stride: groups per stage
+	links                   int // index of the first link
+}
+
+func newSimGrid(l pp.Layout, gpn int, spec cluster.Spec) simGrid {
+	T, F, D := l.TP, l.FSDP, l.DDP
+	g := simGrid{T: T, F: F, D: D, innerN: T * F * D, stride: D*F + D*T + F*T}
+	g.links = l.PP * g.stride
+	g.groups = make([]simGroup, g.links+2*(l.PP-1)*g.innerN)
+	for p := 0; p < l.PP; p++ {
+		base := p * g.innerN
+		for d := 0; d < D; d++ {
+			for f := 0; f < F; f++ {
+				*g.tp(p, d, f) = newSimGroup(base+(d*F+f)*T, 1, T, gpn, spec)
+			}
+			for t := 0; t < T; t++ {
+				*g.fsdp(p, d, t) = newSimGroup(base+d*F*T+t, T, F, gpn, spec)
+			}
+		}
+		for f := 0; f < F; f++ {
+			for t := 0; t < T; t++ {
+				*g.ddp(p, f, t) = newSimGroup(base+f*T+t, F*T, D, gpn, spec)
+			}
+		}
+	}
+	for s := 0; s+1 < l.PP; s++ {
+		for r3 := 0; r3 < g.innerN; r3++ {
+			*g.link(s, r3, 0) = newSimGroup(s*g.innerN+r3, g.innerN, 2, gpn, spec) // forward
+			*g.link(s, r3, 1) = newSimGroup(s*g.innerN+r3, g.innerN, 2, gpn, spec) // backward
+		}
+	}
+	for i := range g.groups {
+		g.groups[i].id = int32(i)
+	}
+	return g
+}
+
+func (g *simGrid) tp(p, d, f int) *simGroup { return &g.groups[p*g.stride+d*g.F+f] }
+func (g *simGrid) fsdp(p, d, t int) *simGroup {
+	return &g.groups[p*g.stride+g.D*g.F+d*g.T+t]
+}
+func (g *simGrid) ddp(p, f, t int) *simGroup {
+	return &g.groups[p*g.stride+g.D*g.F+g.D*g.T+f*g.T+t]
+}
+func (g *simGrid) link(s, r3, dir int) *simGroup {
+	return &g.groups[g.links+2*(s*g.innerN+r3)+dir]
+}
+
+// ddpBucketCosts appends the cost of each outer DDP all-reduce one
+// backward pass issues over the stage's L chunks: one per block, or one
+// per gradient bucket under DDPBucketBytes.
+func ddpBucketCosts(dst []float64, g *simGroup, L, chunkLen, bucketBytes int) []float64 {
+	if bucketBytes <= 0 {
+		for range L {
+			dst = append(dst, g.allReduceCost(chunkLen))
+		}
+		return dst
+	}
+	lens := make([]int, L)
+	for i := range lens {
+		lens[i] = chunkLen
+	}
+	for _, r := range core.BucketRanges(lens, bucketBytes) {
+		dst = append(dst, g.allReduceCost((r[1]-r[0])*chunkLen))
+	}
+	return dst
 }

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -307,8 +308,32 @@ func (s *Server) Do(ctx context.Context, req Request) (*Response, error) {
 	case r := <-c.ch:
 		return r.resp, r.err
 	case <-ctx.Done():
+		s.abandon(c)
 		return nil, ctx.Err()
 	}
+}
+
+// abandon withdraws a call whose context ended while it was still
+// queued, so it frees its admission slot now instead of at the next
+// flush. A call a batch has already claimed is left to runBatch, which
+// drops or delivers it.
+func (s *Server) abandon(c *call) {
+	s.mu.Lock()
+	i := slices.Index(s.pending, c)
+	if i < 0 {
+		s.mu.Unlock()
+		return
+	}
+	s.pending = slices.Delete(s.pending, i, i+1)
+	s.depth--
+	if len(s.pending) == 0 {
+		s.takeLocked() // stops the flush timer
+	}
+	s.mu.Unlock()
+	// Counted as runBatch counts an expired drop.
+	s.st.droppedExpired.Add(1)
+	s.st.failed.Add(1)
+	s.inflight.Done()
 }
 
 // armLocked (re)arms the flush timer; caller holds s.mu.
@@ -367,6 +392,20 @@ func (s *Server) deliver(c *call, resp *Response, err error) {
 	s.inflight.Done()
 }
 
+// expired reports why a call can no longer be served, or nil. The
+// deadline is read directly: the flush timer a deadline arms can fire
+// before the context's own timer marks it done, and a call dispatched
+// in that gap would hold its admission slot through a whole batch.
+func (c *call) expired() error {
+	if err := c.ctx.Err(); err != nil {
+		return err
+	}
+	if dl, ok := c.ctx.Deadline(); ok && !time.Now().Before(dl) {
+		return context.DeadlineExceeded
+	}
+	return nil
+}
+
 // runBatch drops expired members, then dispatches the batch to the
 // replica pool with failover.
 func (s *Server) runBatch(batch []*call) {
@@ -375,7 +414,7 @@ func (s *Server) runBatch(batch []*call) {
 	}
 	live := batch[:0]
 	for _, c := range batch {
-		if err := c.ctx.Err(); err != nil {
+		if err := c.expired(); err != nil {
 			s.st.droppedExpired.Add(1)
 			s.deliver(c, nil, err)
 			continue
@@ -446,7 +485,7 @@ func (s *Server) dispatch(batch []*call) {
 		// members before occupying another replica.
 		live := batch[:0]
 		for _, c := range batch {
-			if cerr := c.ctx.Err(); cerr != nil {
+			if cerr := c.expired(); cerr != nil {
 				s.st.droppedExpired.Add(1)
 				s.deliver(c, nil, cerr)
 				continue

@@ -174,6 +174,80 @@ func parkRequest(t *testing.T, s *Server, req Request, want int) <-chan error {
 	return done
 }
 
+// TestCanceledPendingReleasesSlot: a call whose context ends while it
+// waits for its batch window leaves the queue before Do returns. It
+// must not hold its admission slot until the window's flush.
+func TestCanceledPendingReleasesSlot(t *testing.T) {
+	m, sc := fixtureModel(t, 29)
+	rep := newReplica(t, 0, m, sc, 16, 0)
+	s, err := NewServer(Config{
+		MaxBatch: 16, QueueCap: 1,
+		MaxWait: time.Hour, // no flush inside the test
+	}, []*Replica{rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Do(ctx, Request{Start: 0, Steps: 1})
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); s.Stats().QueueDepth < 1; {
+		if time.Now().After(deadline) {
+			t.Fatal("request never admitted")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled request: got %v, want context.Canceled", err)
+	}
+	if st := s.Stats(); st.QueueDepth != 0 || st.DroppedExpired != 1 {
+		t.Fatalf("after cancel: queue depth %d, dropped %d; want 0 and 1", st.QueueDepth, st.DroppedExpired)
+	}
+	// The freed slot admits the next request at QueueCap 1.
+	d := parkRequest(t, s, Request{Start: 1, Steps: 1}, 1)
+	s.Close()
+	if err := <-d; err != nil {
+		t.Fatalf("request after the cancel: %v", err)
+	}
+}
+
+// lateCtx is a context whose deadline has passed but whose own timer
+// has not yet marked it done: the window in which a flush timer armed
+// for the same deadline can run first.
+type lateCtx struct{ context.Context }
+
+func (lateCtx) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
+
+// TestFlushDropsPastDeadline: a batch flushed after a member's deadline
+// drops that member even when its context is not yet done, instead of
+// running a forward that holds the member's slot for a whole batch.
+func TestFlushDropsPastDeadline(t *testing.T) {
+	m, sc := fixtureModel(t, 31)
+	rep := newReplica(t, 0, m, sc, 4, 0)
+	s, err := NewServer(Config{MaxBatch: 4, MaxWait: time.Hour}, []*Replica{rep})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	c := &call{req: Request{Start: 0, Steps: 1}, ctx: lateCtx{context.Background()}, ch: make(chan callResult, 1)}
+	s.mu.Lock()
+	s.depth++
+	s.mu.Unlock()
+	s.inflight.Add(1)
+	s.runBatch([]*call{c})
+	if r := <-c.ch; !errors.Is(r.err, context.DeadlineExceeded) {
+		t.Fatalf("past-deadline member: got %v, want context.DeadlineExceeded", r.err)
+	}
+	if st := s.Stats(); st.Batches != 0 || st.DroppedExpired != 1 || st.QueueDepth != 0 {
+		t.Fatalf("past-deadline member was dispatched or kept its slot: %+v", st)
+	}
+}
+
 // TestPriorityShedding proves low-priority requests shed at the
 // watermark while normal traffic is still admitted.
 func TestPriorityShedding(t *testing.T) {
