@@ -29,6 +29,19 @@
 // practice far closer) and require the planner's top choice to land
 // within a few percent of the brute-force grid-sweep optimum.
 //
+// Only one rank per class is replayed. Ranks that share a stage,
+// whether they hold TP coordinate 0, and the place of their groups in
+// the group structure (kind, size, link class, and the classes of the
+// other members) run the same program and see identical clocks: a
+// collective completes at the latest poster's clock plus its group's
+// stream backlog, and every group of one class sees the same post
+// sequence. Colour refinement finds these classes (the coarsest
+// equitable partition of ranks and groups), once per layout in
+// Rank/Rank4, and each representative's posts and waits count for
+// every member of its class, so a prediction is bit-identical to
+// replaying every rank at a cost that grows with the number of
+// classes, not of devices.
+//
 // Memory comes from two models. The simulated-accounting prediction
 // (Prediction.DeviceBytes) replays the engine's exact Alloc/Free
 // sequence — persistent fp32 chunk weights+gradients, gather staging
@@ -305,8 +318,13 @@ func Rank(w Workload, c ClusterShape, cons Constraints) ([]Plan, error) {
 		return nil, err
 	}
 	plans := make([]Plan, len(cands))
+	var cls classes
 	for i, cand := range cands {
-		plans[i] = Plan{Candidate: cand, Pred: Predict(w, c, cand)}
+		l := layout4(cand.Layout)
+		if i == 0 || cand.Layout != cands[i-1].Layout {
+			cls = layoutClasses(l, c)
+		}
+		plans[i] = Plan{Candidate: cand, Pred: predict(w, c, l, cand.Options(w.Opts), &cls)}
 	}
 	sort.SliceStable(plans, func(i, j int) bool {
 		pi, pj := plans[i].Pred, plans[j].Pred

@@ -131,8 +131,12 @@ func Rank4(w Workload, c ClusterShape, cons Constraints) ([]Plan4, error) {
 		return nil, err
 	}
 	plans := make([]Plan4, len(cands))
+	var cls classes
 	for i, cand := range cands {
-		plans[i] = Plan4{Candidate4: cand, Pred: Predict4(w, c, cand)}
+		if i == 0 || cand.Layout != cands[i-1].Layout {
+			cls = layoutClasses(cand.Layout, c)
+		}
+		plans[i] = Plan4{Candidate4: cand, Pred: predict(w, c, cand.Layout, cand.Options(w.Opts), &cls)}
 	}
 	sort.SliceStable(plans, func(i, j int) bool {
 		pi, pj := plans[i].Pred, plans[j].Pred

@@ -212,8 +212,12 @@ func compileStep(rc *rankCtx, sched []pp.Op, actFloats int) {
 // models. The returned prediction is self-contained and
 // JSON-serializable — Plan.Explain renders it.
 func Predict(w Workload, c ClusterShape, cand Candidate) Prediction {
-	l := cand.Layout
-	return predict(w, c, pp.Layout{TP: l.TP, PP: 1, FSDP: l.FSDP, DDP: l.DDP}, cand.Options(w.Opts))
+	return predict(w, c, layout4(cand.Layout), cand.Options(w.Opts), nil)
+}
+
+// layout4 is the PP=1 4D layout of a 3D one.
+func layout4(l core.Layout) pp.Layout {
+	return pp.Layout{TP: l.TP, PP: 1, FSDP: l.FSDP, DDP: l.DDP}
 }
 
 // Predict4 prices one 4D candidate. PP=1 is exactly the 3D
@@ -223,12 +227,14 @@ func Predict4(w Workload, c ClusterShape, cand Candidate4) Prediction {
 	if cand.Layout.PP <= 1 {
 		return Predict(w, c, Candidate{Layout: cand.Layout.Inner(), Knobs: cand.Knobs})
 	}
-	return predict(w, c, cand.Layout, cand.Options(w.Opts))
+	return predict(w, c, cand.Layout, cand.Options(w.Opts), nil)
 }
 
-// predict compiles every rank's step program for the layout under
-// opts, once, and replays it (see replay). PP=1 is the 3D case.
-func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Prediction {
+// predict compiles the step program of one representative rank per
+// class of cls, once, under opts, and replays them (see replay). PP=1
+// is the 3D case. cls must be the layout's rank classes on c (see
+// newClasses); nil computes them.
+func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options, cls *classes) Prediction {
 	if err := w.Validate(); err != nil {
 		return infeasible(err.Error())
 	}
@@ -258,6 +264,10 @@ func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Pr
 	}
 	spec := c.Spec
 	grid := newSimGrid(layout, c.GPUsPerNode, spec)
+	if cls == nil {
+		part := newClasses(layout, grid.groups)
+		cls = &part
+	}
 	innerN := inner.Ranks()
 
 	rate := spec.PeakFLOPS * spec.Efficiency
@@ -291,12 +301,24 @@ func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Pr
 		bwdRecomputed: 2 * fwdSec,
 	}
 	actFloats := w.Tokens * w.Dim
-	devs := make([]simDev, R)
-	progs := make([][]instr, R)
-	// Ranks compile to programs of (nearly always) the previous rank's
-	// length, so each program is allocated once at that size.
+	devs := make([]simDev, len(cls.reps))
+	progs := make([][]instr, len(cls.reps))
+	// join binds the compiled rank to its group g: instructions name
+	// g's class by its lowest group and stand for every member of the
+	// rank's class in g.
+	var class int32
+	join := func(g *simGroup) *simGroup {
+		rep := &grid.groups[cls.group[g.id]]
+		rc.b.join(rep, cls.members(g, class))
+		return rep
+	}
+	// Representatives compile to programs of (nearly always) the
+	// previous one's length, so each program is allocated once at that
+	// size.
 	size := 0
-	for r := 0; r < R; r++ {
+	for ci, rep := range cls.reps {
+		class = int32(ci)
+		r := int(rep)
 		p, r3 := r/innerN, r%innerN
 		c3 := inner.CoordOf(r3)
 		L := stages[p][1] - stages[p][0]
@@ -304,13 +326,14 @@ func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Pr
 		flat := flatLenFor(numel, layout.FSDP)
 		chunkLen := flat / layout.FSDP
 		rc.L = L
-		rc.tpG, rc.fsdpG, rc.ddpG = grid.tp(p, c3.D, c3.F), grid.fsdp(p, c3.D, c3.T), grid.ddp(p, c3.F, c3.T)
+		rc.b.groups = rc.b.groups[:0]
+		rc.tpG, rc.fsdpG, rc.ddpG = join(grid.tp(p, c3.D, c3.F)), join(grid.fsdp(p, c3.D, c3.T)), join(grid.ddp(p, c3.F, c3.T))
 		rc.fwdIn, rc.bwdOut, rc.fwdOut, rc.bwdIn = nil, nil, nil, nil
 		if p > 0 {
-			rc.fwdIn, rc.bwdOut = grid.link(p-1, r3, 0), grid.link(p-1, r3, 1)
+			rc.fwdIn, rc.bwdOut = join(grid.link(p-1, r3, 0)), join(grid.link(p-1, r3, 1))
 		}
 		if p+1 < S {
-			rc.fwdOut, rc.bwdIn = grid.link(p, r3, 0), grid.link(p, r3, 1)
+			rc.fwdOut, rc.bwdIn = join(grid.link(p, r3, 0)), join(grid.link(p, r3, 1))
 		}
 		rc.gatherBytes = int64(flat) * paramBytesFor(opts.MixedPrecision)
 		rc.gatherCost = rc.fsdpG.allGatherCost(chunkLen)
@@ -323,23 +346,22 @@ func predict(w Workload, c ClusterShape, layout pp.Layout, opts core.Options) Pr
 		}
 
 		rc.b.instrs = make([]instr, 0, size)
-		rc.b.posts = rc.b.posts[:0]
 		compileStep(&rc, scheds[p], actFloats)
-		progs[r] = rc.b.instrs
-		size = len(progs[r])
-		for _, gp := range rc.b.posts {
-			g := &grid.groups[gp.g]
+		progs[ci] = rc.b.instrs
+		size = len(progs[ci])
+		for _, rg := range rc.b.groups {
+			g := &grid.groups[rg.g]
 			if g.perStep == 0 {
-				g.perStep = gp.n
-			} else if g.perStep != gp.n {
+				g.perStep = rg.posts
+			} else if g.perStep != rg.posts {
 				return infeasible(fmt.Sprintf("plan: replay ordering violation: rank %d posts %d collectives per step on a group whose lowest rank posts %d",
-					r, gp.n, g.perStep))
+					r, rg.posts, g.perStep))
 			}
 		}
 		// NewEngine's persistent allocation: fp32 chunk weights+grads
 		// for the stage's blocks.
 		mem := int64(L) * int64(chunkLen) * 8
-		devs[r] = simDev{capacity: spec.MemPerGPU, mem: mem, peak: mem}
+		devs[ci] = simDev{capacity: spec.MemPerGPU, mem: mem, peak: mem}
 	}
 	for i := range grid.groups {
 		g := &grid.groups[i]
@@ -377,22 +399,22 @@ func newSimGrid(l pp.Layout, gpn int, spec cluster.Spec) simGrid {
 		base := p * g.innerN
 		for d := 0; d < D; d++ {
 			for f := 0; f < F; f++ {
-				*g.tp(p, d, f) = newSimGroup(base+(d*F+f)*T, 1, T, gpn, spec)
+				*g.tp(p, d, f) = newSimGroup(kindTP, base+(d*F+f)*T, 1, T, gpn, spec)
 			}
 			for t := 0; t < T; t++ {
-				*g.fsdp(p, d, t) = newSimGroup(base+d*F*T+t, T, F, gpn, spec)
+				*g.fsdp(p, d, t) = newSimGroup(kindFSDP, base+d*F*T+t, T, F, gpn, spec)
 			}
 		}
 		for f := 0; f < F; f++ {
 			for t := 0; t < T; t++ {
-				*g.ddp(p, f, t) = newSimGroup(base+f*T+t, F*T, D, gpn, spec)
+				*g.ddp(p, f, t) = newSimGroup(kindDDP, base+f*T+t, F*T, D, gpn, spec)
 			}
 		}
 	}
 	for s := 0; s+1 < l.PP; s++ {
 		for r3 := 0; r3 < g.innerN; r3++ {
-			*g.link(s, r3, 0) = newSimGroup(s*g.innerN+r3, g.innerN, 2, gpn, spec) // forward
-			*g.link(s, r3, 1) = newSimGroup(s*g.innerN+r3, g.innerN, 2, gpn, spec) // backward
+			*g.link(s, r3, 0) = newSimGroup(kindFwdLink, s*g.innerN+r3, g.innerN, 2, gpn, spec)
+			*g.link(s, r3, 1) = newSimGroup(kindBwdLink, s*g.innerN+r3, g.innerN, 2, gpn, spec)
 		}
 	}
 	for i := range g.groups {

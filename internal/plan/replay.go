@@ -25,6 +25,12 @@ import (
 // in a step. After every replayed step each slot must have been
 // posted and waited by all of the group's members; the table is then
 // cleared for the next step.
+//
+// Only one representative rank per class of interchangeable ranks
+// (symmetry.go) is compiled and replayed. Its posts and waits name
+// its group's class by the class's lowest group and count for every
+// member of its own class in that group, so a class's collectives
+// complete exactly when all of a real group's members have posted.
 
 // simPending mirrors comm.pending for one collective of the step. It
 // is complete once every member has posted.
@@ -37,26 +43,39 @@ type simPending struct {
 // stream and link parameters chosen by whether its members share a
 // node (Infinity Fabric) or span nodes (Slingshot).
 type simGroup struct {
-	id         int32 // index in the candidate's group table
-	size       int
-	lat, bw    float64
-	streamFree float64
+	id            int32 // index in the candidate's group table
+	kind          uint8
+	size          int
+	first, stride int // members are first, first+stride, …
+	lat, bw       float64
+	streamFree    float64
 	// perStep is the number of collectives each member posts per step;
 	// pend holds them by step-local sequence number.
 	perStep int32
 	pend    []simPending
 }
 
+// Group kinds.
+const (
+	kindTP = iota
+	kindFSDP
+	kindDDP
+	kindFwdLink
+	kindBwdLink
+)
+
 // newSimGroup prices a communicator over the n ranks first,
 // first+stride, …: every group of the Hybrid-STOP grid, and every
 // pipeline link, is such a progression.
-func newSimGroup(first, stride, n, gpn int, spec cluster.Spec) simGroup {
-	g := simGroup{size: n, lat: spec.IntraNodeLatency, bw: spec.IntraNodeBandwidth}
+func newSimGroup(kind uint8, first, stride, n, gpn int, spec cluster.Spec) simGroup {
+	g := simGroup{kind: kind, size: n, first: first, stride: stride, lat: spec.IntraNodeLatency, bw: spec.IntraNodeBandwidth}
 	if first/gpn != (first+(n-1)*stride)/gpn {
 		g.lat, g.bw = spec.InterNodeLatency, spec.InterNodeBandwidth
 	}
 	return g
 }
+
+func (g *simGroup) member(k int) int { return g.first + k*g.stride }
 
 // ring mirrors comm.Group.ringCost.
 func (g *simGroup) ring(bytes int) float64 {
@@ -100,6 +119,7 @@ type instr struct {
 	op, phase uint8
 	seq       int32   // step-local sequence number on group g
 	g         int32   // group id
+	n         int32   // group members this post or wait stands for
 	cost      float64 // collective cost (post) or seconds (compute)
 	bytes     int64   // alloc/free
 }
@@ -109,29 +129,38 @@ type instr struct {
 // per-rank counters within one step.
 type progBuilder struct {
 	instrs []instr
-	posts  []groupPosts // the rank's groups in first-post order
+	groups []rankGroup // the groups the rank joined
 }
 
-type groupPosts struct {
-	g, n int32 // group id, posts so far
+type rankGroup struct {
+	g, n  int32 // group id, members the rank stands for
+	posts int32 // posts so far
+}
+
+// join makes the rank a member of g standing for n of its members.
+// Every group a rank posts or waits on must be joined first.
+func (b *progBuilder) join(g *simGroup, n int32) {
+	b.groups = append(b.groups, rankGroup{g: g.id, n: n})
+}
+
+func (b *progBuilder) joined(g *simGroup) *rankGroup {
+	i := 0
+	for b.groups[i].g != g.id {
+		i++
+	}
+	return &b.groups[i]
 }
 
 func (b *progBuilder) post(g *simGroup, cost float64) int32 {
-	i := 0
-	for i < len(b.posts) && b.posts[i].g != g.id {
-		i++
-	}
-	if i == len(b.posts) {
-		b.posts = append(b.posts, groupPosts{g: g.id})
-	}
-	s := b.posts[i].n
-	b.posts[i].n++
-	b.instrs = append(b.instrs, instr{op: opPost, g: g.id, seq: s, cost: cost})
+	rg := b.joined(g)
+	s := rg.posts
+	rg.posts++
+	b.instrs = append(b.instrs, instr{op: opPost, g: g.id, n: rg.n, seq: s, cost: cost})
 	return s
 }
 
 func (b *progBuilder) wait(g *simGroup, seq int32, phase uint8) {
-	b.instrs = append(b.instrs, instr{op: opWait, g: g.id, seq: seq, phase: phase})
+	b.instrs = append(b.instrs, instr{op: opWait, g: g.id, n: b.joined(g).n, seq: seq, phase: phase})
 }
 
 // sync is a post immediately followed by its wait (the synchronous
@@ -164,9 +193,10 @@ type simDev struct {
 
 // runPrograms executes one SPMD step of per-rank instruction lists
 // against the shared groups, advancing clocks with comm's rendezvous
-// and stream rules. Ranks advance until they block on a wait whose
-// collective has not fully posted; the round-robin repeats until all
-// programs retire.
+// and stream rules. Each program stands for a class of ranks, and each
+// post or wait counts for the n members of the class in the group.
+// Ranks advance until they block on a wait whose collective has not
+// fully posted; the round-robin repeats until all programs retire.
 func runPrograms(progs [][]instr, devs []simDev, groups []simGroup) error {
 	ptr := make([]int, len(progs))
 	for {
@@ -185,7 +215,7 @@ func runPrograms(progs [][]instr, devs []simDev, groups []simGroup) error {
 						d.waits[in.phase] += p.completion - d.clock
 						d.clock = p.completion
 					}
-					p.waited++
+					p.waited += in.n
 				} else {
 					switch in.op {
 					case opPost:
@@ -199,7 +229,7 @@ func runPrograms(progs [][]instr, devs []simDev, groups []simGroup) error {
 						if d.clock > p.tmax {
 							p.tmax = d.clock
 						}
-						p.posted++
+						p.posted += in.n
 						if int(p.posted) == g.size {
 							start := p.tmax
 							if g.streamFree > start {
@@ -233,7 +263,7 @@ func runPrograms(progs [][]instr, devs []simDev, groups []simGroup) error {
 	}
 	for r := range progs {
 		if ptr[r] != len(progs[r]) {
-			return fmt.Errorf("plan: replay deadlock: rank %d stuck at instruction %d/%d", r, ptr[r], len(progs[r]))
+			return fmt.Errorf("plan: replay deadlock: program %d stuck at instruction %d/%d", r, ptr[r], len(progs[r]))
 		}
 	}
 	return nil
@@ -262,7 +292,9 @@ func replayStep(progs [][]instr, devs []simDev, groups []simGroup) error {
 // replay prices compiled programs: one warm-up step, so stream and
 // clock offsets reach their steady state, then two measured steps. It
 // reports the per-step time, the per-phase breakdown of the critical
-// (latest-clock) rank, and the simulated memory peak.
+// (latest-clock) rank, and the simulated memory peak. devs are the
+// class representatives in rank order, so the critical one is the
+// lowest rank with the latest clock, as over all ranks.
 func replay(progs [][]instr, devs []simDev, groups []simGroup) (Prediction, error) {
 	const measured = 2
 	if err := replayStep(progs, devs, groups); err != nil {

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"orbit/internal/core"
@@ -40,5 +41,25 @@ func BenchmarkPredict4Train4D(b *testing.B) {
 		if p := Predict4(w, c, cand); p.OOM {
 			b.Fatal(p.Note)
 		}
+	}
+}
+
+// BenchmarkPredict4Scale times one Predict4 call on TP2×PP2×FSDP(N/8)×DDP2
+// with 4 micro-batches per data rank, for the train-4d model on N
+// scaled devices.
+func BenchmarkPredict4Scale(b *testing.B) {
+	for _, n := range []int{16, 64, 512, 4096} {
+		b.Run(fmt.Sprintf("devices=%d", n), func(b *testing.B) {
+			l := pp.Layout{TP: 2, PP: 2, FSDP: n / 8, DDP: 2}
+			w := Workload{Dim: 64, Heads: 4, Layers: 4, Tokens: 16, GlobalBatch: 4 * l.FSDP * l.DDP, Opts: core.DefaultOptions()}
+			c := ScaledShape(n/8, 1e-3)
+			cand := Candidate4{Layout: l, Knobs: Knobs{PrefetchDepth: 1, MicroBatches: 4}}
+			b.ReportAllocs()
+			for range b.N {
+				if p := Predict4(w, c, cand); p.OOM {
+					b.Fatal(p.Note)
+				}
+			}
+		})
 	}
 }
